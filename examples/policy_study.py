@@ -44,7 +44,7 @@ def main() -> int:
 
     request = PolicyRequest(scenario_payloads=tuple(payloads),
                             corners=CORNERS, candidates=512)
-    result = workspace.policy("c432", request)
+    result = workspace.design("c432").policy(request)
     print(result.render())
 
     best = result.best

@@ -20,7 +20,7 @@ from repro.vgnd.report import render_standby_table
 
 def main() -> int:
     workspace = Workspace(config=FlowConfig(timing_margin=0.12))
-    result = workspace.standby("c432", StandbyRequest(
+    result = workspace.design("c432").standby(StandbyRequest(
         corners=("tt_nom", "ss_1.08v_125c", "ff_1.32v_125c")))
     print(render_standby_table(result))
 

@@ -23,9 +23,9 @@ Three layers, one import::
   HTTP + JSON, backed by one warm workspace so repeated requests hit
   the caches instead of cold-starting.
 
-The pre-facade entry points (``repro.experiments.run_table1`` and
-friends, ``repro.core.compare.compare_techniques``) still work as
-deprecation shims that delegate here.
+The grid studies behind the paper's evaluation (Table 1, corner
+signoff, Monte-Carlo, technique comparison) live in
+:mod:`repro.api.studies`.
 """
 
 from repro.api import schemas

@@ -9,6 +9,11 @@ same language.
 
 Field validation raises :class:`~repro.errors.ConfigError` naming the
 offending field, mirroring :class:`~repro.config.FlowConfig`.
+
+The post-flow analysis requests (:class:`SignoffRequest`,
+:class:`StandbyRequest`, :class:`PolicyRequest`) are defined next to
+their engines, because the flow's signoff stages build them too (via
+``from_config``); they are registered here like every other request.
 """
 
 from __future__ import annotations
@@ -18,22 +23,10 @@ import dataclasses
 from repro.api import schemas
 from repro.config import Technique
 from repro.errors import ConfigError
-from repro.standby.scenario import PowerModeScenario
+from repro.policy.optimize import PolicyRequest
+from repro.standby.engine import StandbyRequest
+from repro.variation.signoff import SignoffRequest
 
-
-def _check_scenario_payloads(payloads, names) -> None:
-    """Shared user-defined-scenario validation (standby + policy)."""
-    seen: set[str] = set(names)
-    for payload in payloads:
-        if not isinstance(payload, PowerModeScenario):
-            raise ConfigError(
-                "scenario_payloads",
-                f"entries must be PowerModeScenario, got {payload!r}")
-        if payload.name in seen:
-            raise ConfigError(
-                "scenario_payloads",
-                f"duplicate scenario name {payload.name!r}")
-        seen.add(payload.name)
 
 #: Mapped-variant names accepted by :class:`AnalyzeRequest`.
 ANALYZE_VARIANTS = ("lvt", "hvt")
@@ -71,23 +64,6 @@ class OptimizeRequest:
 
 
 @dataclasses.dataclass(frozen=True)
-class SignoffRequest:
-    """Multi-corner signoff of one technique's finished design.
-
-    An empty ``corners`` tuple means the technology's default signoff
-    set (nominal + worst leakage + worst timing).
-    """
-
-    technique: Technique = Technique.IMPROVED_SMT
-    corners: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not all(isinstance(c, str) and c for c in self.corners):
-            raise ConfigError(
-                "corners", f"must be non-empty names, got {self.corners!r}")
-
-
-@dataclasses.dataclass(frozen=True)
 class MonteCarloRequest:
     """Monte-Carlo Vth-variation study of one technique's design.
 
@@ -117,97 +93,6 @@ class MonteCarloRequest:
             raise ConfigError(
                 "sigma_local_v",
                 f"must be non-negative, got {self.sigma_local_v!r}")
-
-
-@dataclasses.dataclass(frozen=True)
-class StandbyRequest:
-    """Standby-transition study of one technique's finished design.
-
-    Empty ``scenarios`` means every built-in power-mode scenario
-    (:func:`repro.standby.scenario.standard_scenarios`); empty
-    ``corners`` means the technology's default signoff set, so wake
-    latency and rush current are checked where they are worst.
-    ``rush_budget_ma=None`` derives the default di/dt budget.
-
-    ``scenario_payloads`` carries fully user-defined scenarios (any
-    distribution, including ``empirical`` quantile grids built from
-    idle traces by :mod:`repro.policy.traces`); they are evaluated
-    alongside the named ones, and names must not collide.
-    """
-
-    technique: Technique = Technique.IMPROVED_SMT
-    scenarios: tuple[str, ...] = ()
-    scenario_payloads: tuple[PowerModeScenario, ...] = ()
-    corners: tuple[str, ...] = ()
-    rush_budget_ma: float | None = None
-    settle_fraction: float = 0.05
-
-    def __post_init__(self):
-        if not all(isinstance(s, str) and s for s in self.scenarios):
-            raise ConfigError(
-                "scenarios",
-                f"must be non-empty names, got {self.scenarios!r}")
-        _check_scenario_payloads(self.scenario_payloads, self.scenarios)
-        if not all(isinstance(c, str) and c for c in self.corners):
-            raise ConfigError(
-                "corners", f"must be non-empty names, got {self.corners!r}")
-        if self.rush_budget_ma is not None and self.rush_budget_ma <= 0:
-            raise ConfigError(
-                "rush_budget_ma",
-                f"must be positive when set, got {self.rush_budget_ma!r}")
-        if not 0.0 < self.settle_fraction < 0.5:
-            raise ConfigError(
-                "settle_fraction",
-                f"must be in (0, 0.5), got {self.settle_fraction!r}")
-
-
-@dataclasses.dataclass(frozen=True)
-class PolicyRequest:
-    """Sleep-policy sweep of one technique's finished design.
-
-    Sweeps at least ``candidates`` (domain plan, per-domain threshold)
-    policies through the batched scenario engine and returns the
-    Pareto front of (net savings, worst wake latency, peak rush).
-    Scenario and corner semantics match :class:`StandbyRequest`
-    (including user-defined ``scenario_payloads``); ``max_domains``
-    bounds the hierarchical power-domain plans swept alongside the
-    per-cluster plan.
-    """
-
-    technique: Technique = Technique.IMPROVED_SMT
-    scenarios: tuple[str, ...] = ()
-    scenario_payloads: tuple[PowerModeScenario, ...] = ()
-    corners: tuple[str, ...] = ()
-    candidates: int = 1024
-    max_domains: int = 4
-    rush_budget_ma: float | None = None
-    settle_fraction: float = 0.05
-
-    def __post_init__(self):
-        if not all(isinstance(s, str) and s for s in self.scenarios):
-            raise ConfigError(
-                "scenarios",
-                f"must be non-empty names, got {self.scenarios!r}")
-        _check_scenario_payloads(self.scenario_payloads, self.scenarios)
-        if not all(isinstance(c, str) and c for c in self.corners):
-            raise ConfigError(
-                "corners", f"must be non-empty names, got {self.corners!r}")
-        if self.candidates < 1:
-            raise ConfigError(
-                "candidates",
-                f"needs at least one, got {self.candidates!r}")
-        if self.max_domains < 1:
-            raise ConfigError(
-                "max_domains",
-                f"needs at least one domain, got {self.max_domains!r}")
-        if self.rush_budget_ma is not None and self.rush_budget_ma <= 0:
-            raise ConfigError(
-                "rush_budget_ma",
-                f"must be positive when set, got {self.rush_budget_ma!r}")
-        if not 0.0 < self.settle_fraction < 0.5:
-            raise ConfigError(
-                "settle_fraction",
-                f"must be in (0, 0.5), got {self.settle_fraction!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -201,7 +201,12 @@ def parse_submission(payload) -> tuple[str, str, object, FlowConfig]:
         raise ServiceError("'config' must be an object of FlowConfig "
                            "field overrides")
     try:
-        config = FlowConfig(**overrides)
+        # JSON has no tuples: sequence overrides (signoff_corners,
+        # standby_scenarios) arrive as lists and would leave the
+        # config, and every request derived from it, unhashable.
+        config = FlowConfig(**{
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in overrides.items()})
     except TypeError as exc:
         raise ServiceError(f"bad config override: {exc}") from exc
     except ReproError as exc:

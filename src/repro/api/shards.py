@@ -55,21 +55,14 @@ def _shard_init(library, jobs: int):
 
 
 def execute_kind(design, kind: str, request):
-    """Dispatch one job kind onto a :class:`~repro.api.Design` facade."""
+    """Run one job kind: the :class:`~repro.api.Design` method of the
+    same name (every key of ``service.JOB_KINDS`` is one)."""
+    from repro.api.service import JOB_KINDS
     from repro.errors import ServiceError
 
-    method = {
-        "analyze": design.analyze,
-        "optimize": design.optimize,
-        "signoff": design.signoff,
-        "montecarlo": design.montecarlo,
-        "standby": design.standby,
-        "policy": design.policy,
-        "sweep": design.sweep,
-    }.get(kind)
-    if method is None:
+    if kind not in JOB_KINDS:
         raise ServiceError(f"unhandled job kind {kind!r}")
-    return method(request)
+    return getattr(design, kind)(request)
 
 
 def _shard_run(kind: str, circuit: str, request_payload: dict | None,

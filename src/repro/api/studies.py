@@ -1,13 +1,10 @@
 """Grid studies over a workspace (the paper's evaluation harness).
 
-These are the implementations behind the legacy entry points in
-:mod:`repro.experiments` and :func:`repro.core.compare.compare_techniques`
-— moved here so the deprecation shims are genuinely thin.  The numeric
-paths are unchanged: serial runs route through the
-:class:`~repro.api.Workspace` flow caches (same float operations as
-the old in-process loops), parallel runs fan the same grids out over
-:class:`~repro.runner.ExperimentRunner` exactly as before, so every
-digit matches the pre-facade behavior.
+Serial runs route through the :class:`~repro.api.Workspace` flow
+caches; parallel runs fan the same grids out over
+:class:`~repro.runner.ExperimentRunner`.  Both paths produce
+bit-identical numbers.  The result types and the pinned Table 1
+configurations live in :mod:`repro.experiments`.
 """
 
 from __future__ import annotations

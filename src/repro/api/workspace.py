@@ -16,16 +16,19 @@ One :class:`Workspace` owns every piece of expensive compiled state:
 :meth:`Workspace.design` hands out :class:`Design` facades exposing
 the whole capability surface — :meth:`Design.analyze`,
 :meth:`Design.optimize`, :meth:`Design.signoff`,
+:meth:`Design.standby`, :meth:`Design.policy`,
 :meth:`Design.montecarlo`, :meth:`Design.sweep` — each taking a typed
 frozen request (:mod:`repro.api.requests`) and returning a typed,
 schema-registered result (:mod:`repro.api.results`).  Repeated calls
 with an equal request are served from cache; the warm hit path is what
 the persistent job service rides (see :mod:`repro.api.service`) and
-what ``benchmarks/test_bench_api.py`` pins at >= 3x over the legacy
-cold path.
+what ``benchmarks/test_bench_api.py`` pins at >= 3x over a cold
+workspace.
 
-Numbers produced through the facade are bit-identical to the legacy
-entry points' (``run_table1`` & friends), which now delegate here.
+The post-flow analyses (signoff, standby, policy) run through the same
+function as their flow stage and reuse the stage's result when the
+request equals ``Request.from_config(config)`` — the request the stage
+ran.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ from repro.api.results import (
     SweepResult,
     SweepRow,
 )
-from repro.policy.optimize import PolicyOptimizer, PolicyResult
-from repro.standby.engine import StandbyResult
+from repro.policy.optimize import PolicyResult, run_policy
+from repro.standby.engine import StandbyResult, run_standby
 from repro.benchcircuits.suite import load_circuit
 from repro.config import FlowConfig, Technique
 from repro.core.compare import count_cell_kinds
@@ -76,6 +79,7 @@ from repro.power.leakage import LeakageAnalyzer
 from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
 from repro.timing.sta import TimingAnalyzer
+from repro.variation.signoff import run_signoff
 
 
 def config_key(config: FlowConfig) -> str:
@@ -322,30 +326,6 @@ class Workspace:
             design = self.design(circuit, config)
             rows.extend(design.sweep(request, jobs=1).rows)
         return SweepResult(rows=tuple(rows))
-
-    def standby(self, circuit: str,
-                request: "StandbyRequest | None" = None,
-                config: FlowConfig | None = None,
-                **kwargs) -> "StandbyResult":
-        """Standby-transition study of one circuit (facade shortcut).
-
-        Equivalent to ``workspace.design(circuit).standby(...)`` — the
-        cached flow result, corner libraries and compiled library are
-        all reused.
-        """
-        return self.design(circuit, config).standby(request, **kwargs)
-
-    def policy(self, circuit: str,
-               request: "PolicyRequest | None" = None,
-               config: FlowConfig | None = None,
-               **kwargs) -> "PolicyResult":
-        """Sleep-policy sweep of one circuit (facade shortcut).
-
-        Equivalent to ``workspace.design(circuit).policy(...)`` — the
-        cached flow result, corner libraries and compiled library are
-        all reused.
-        """
-        return self.design(circuit, config).policy(request, **kwargs)
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """Compatibility view: the flat dict ``/v1/health`` has always
@@ -599,270 +579,117 @@ class Design:
         self._optimizations[request.technique] = optimized
         return optimized
 
-    # --- signoff ------------------------------------------------------------
+    # --- post-flow analyses: signoff, standby, policy ------------------------
+    #
+    # Each runs through the same function as its flow stage
+    # (run_signoff / run_standby / run_policy), with defaults from
+    # Request.from_config(self.config).  When the request equals the
+    # one the stage ran, the flow's own result is reused.
+
+    def _post_flow_request(self, request_type, request, fields: dict):
+        supplied = self._request_or_kwargs(request, fields)
+        return request or request_type.from_config(self.config, **supplied)
+
+    def _stage_ran(self, request) -> bool:
+        """Whether the flow's signoff stage ran exactly ``request``."""
+        return request == type(request).from_config(
+            self.config, technique=request.technique)
 
     @_locked
-    def signoff(self, request: SignoffRequest | None = None, *,
-                technique: Technique | str | None = None,
-                corners=None) -> SignoffResult:
+    def signoff(self, request: SignoffRequest | None = None,
+                **fields) -> SignoffResult:
         """Multi-corner signoff of one technique's finished design.
 
+        Fields (``technique``, ``corners``) default from the design's
+        :class:`FlowConfig` via :meth:`SignoffRequest.from_config`.
         The flow result is reused from the optimize cache; each corner
         is then one leakage pass plus one STA against the (cached)
         corner-derived library — identical numbers to the flow's
-        ``corner_signoff`` stage.
+        ``corner_signoff`` stage, whose corners are reused outright
+        for an equal request.
         """
-        self._request_or_kwargs(request,
-                                {"technique": technique,
-                                 "corners": corners})
-        request = request or SignoffRequest(
-            technique=Technique(technique) if technique is not None
-            else Technique.IMPROVED_SMT,
-            corners=tuple(corners) if corners is not None else ())
+        request = self._post_flow_request(SignoffRequest, request, fields)
         if request in self._signoffs:
             self._stats().hit("signoff")
             return self._signoffs[request]
         self._stats().miss("signoff")
-        from repro.variation.corners import default_signoff_corners
-        from repro.variation.signoff import evaluate_corners_batched
-
-        library = self.library
-        corner_names = request.corners or \
-            default_signoff_corners(library.tech)
         flow = self.flow_result(request.technique)
-        clock_arrivals = flow.cts.clock_arrivals if flow.cts else None
-        corner_libraries = {name: self.workspace.corner_library(name)
-                            for name in corner_names}
-        results = evaluate_corners_batched(
-            flow.netlist, library, corner_names, flow.constraints,
-            parasitics=flow.parasitics, network=flow.network,
-            clock_arrivals=clock_arrivals,
-            compute_backend=self.config.compute_backend,
-            corner_libraries=corner_libraries)
-        rows = tuple(
-            SignoffCornerRow(corner=name, leakage_nw=res.leakage_nw,
-                             wns=res.wns, hold_wns=res.hold_wns)
-            for name, res in results.items())
+        results = flow.corners
+        if not results or not self._stage_ran(request):
+            results = run_signoff(
+                flow, self.library, request, self.workspace.corner_library,
+                compute_backend=self.config.compute_backend)
         result = SignoffResult(
             circuit=self.circuit,
             technique=request.technique,
-            corners=tuple(corner_names),
+            corners=tuple(results),
             area_um2=flow.total_area,
             nominal_leakage_nw=flow.leakage_nw,
             nominal_wns=flow.timing.wns,
-            rows=rows)
+            rows=tuple(
+                SignoffCornerRow(corner=name, leakage_nw=res.leakage_nw,
+                                 wns=res.wns, hold_wns=res.hold_wns)
+                for name, res in results.items()))
         self._signoffs[request] = result
         return result
 
-    # --- standby ------------------------------------------------------------
-
-    def _scenario_objects(self, request):
-        """Resolve a request's named + payload scenarios (in order).
-
-        Built-in names default in only when the request carries
-        neither names nor payloads — a payload-only request means
-        exactly those workloads.
-        """
-        from repro.standby.scenario import (
-            resolve_scenario,
-            standard_scenarios,
-        )
-
-        names = request.scenarios
-        if not names and not request.scenario_payloads:
-            names = tuple(standard_scenarios())
-        return [resolve_scenario(name) for name in names] \
-            + list(request.scenario_payloads)
-
     @_locked
-    def standby(self, request: StandbyRequest | None = None, *,
-                technique: Technique | str | None = None,
-                scenarios=None, scenario_payloads=None, corners=None,
-                rush_budget_ma: float | None = None,
-                settle_fraction: float | None = None) -> StandbyResult:
+    def standby(self, request: StandbyRequest | None = None,
+                **fields) -> StandbyResult:
         """Standby-transition study of one technique's finished design.
 
-        The flow result comes from the optimize cache; corner-derived
-        libraries come from the workspace corner-library cache; the
-        post-route parasitics the flow extracted refine the VGND rail
-        capacitances.  Only the improved technique builds the
-        shared-switch network this analysis characterizes — the others
-        raise :class:`~repro.errors.FlowError`.
-
-        Field defaults come from the design's :class:`FlowConfig`
-        (``standby_scenarios``, ``standby_rush_budget_ma``,
-        ``standby_settle_fraction``, ``signoff_corners``) with the
-        same fallbacks as the flow's ``standby_signoff`` stage (all
-        built-in scenarios, the default signoff corner set), so for
-        any configuration with ``standby_scenarios`` set the facade
-        answer equals — and is simply reused from — the stage's
-        ``FlowResult.standby``.  An explicit request object is taken
-        verbatim.
+        Fields (``technique``, ``scenarios``, ``scenario_payloads``,
+        ``corners``, ``rush_budget_ma``, ``settle_fraction``) default
+        from the design's :class:`FlowConfig` via
+        :meth:`StandbyRequest.from_config`; an explicit request object
+        is taken verbatim.  The flow result comes from the optimize
+        cache, corner-derived libraries from the workspace cache.
+        Only the improved technique builds the shared-switch network
+        this analysis characterizes — the others raise
+        :class:`~repro.errors.FlowError`.
         """
-        self._request_or_kwargs(request, {
-            "technique": technique, "scenarios": scenarios,
-            "scenario_payloads": scenario_payloads,
-            "corners": corners, "rush_budget_ma": rush_budget_ma,
-            "settle_fraction": settle_fraction})
-        request = request or StandbyRequest(
-            technique=Technique(technique) if technique is not None
-            else Technique.IMPROVED_SMT,
-            scenarios=tuple(scenarios) if scenarios is not None
-            else self.config.standby_scenarios,
-            scenario_payloads=tuple(scenario_payloads)
-            if scenario_payloads is not None else (),
-            corners=tuple(corners) if corners is not None
-            else self.config.signoff_corners,
-            rush_budget_ma=rush_budget_ma
-            if rush_budget_ma is not None
-            else self.config.standby_rush_budget_ma,
-            settle_fraction=settle_fraction
-            if settle_fraction is not None
-            else self.config.standby_settle_fraction)
+        request = self._post_flow_request(StandbyRequest, request, fields)
         if request in self._standbys:
             self._stats().hit("standby")
             return self._standbys[request]
         self._stats().miss("standby")
-        from repro.standby.engine import StandbyEngine
-        from repro.variation.corners import default_signoff_corners
-
-        library = self.library
         flow = self.flow_result(request.technique)
-        if flow.network is None or not flow.network.clusters:
-            raise FlowError(
-                f"technique {request.technique.value!r} builds no "
-                f"shared-switch VGND network; standby-transition "
-                f"analysis needs improved_smt")
-        scenario_objs = self._scenario_objects(request)
-        scenario_names = tuple(s.name for s in scenario_objs)
-        corner_names = request.corners \
-            or default_signoff_corners(library.tech)
-        # The standby_signoff stage may have computed exactly this
-        # analysis during the flow run — reuse it instead of running
-        # the engine a second time.
-        stage_result = flow.standby
-        if stage_result is not None \
-                and stage_result.circuit == self.circuit \
-                and stage_result.scenarios == tuple(scenario_names) \
-                and stage_result.corners == tuple(corner_names) \
-                and stage_result.settle_fraction \
-                == request.settle_fraction \
-                and request.rush_budget_ma \
-                == self.config.standby_rush_budget_ma:
-            self._standbys[request] = stage_result
-            return stage_result
-        corner_libraries = {name: self.workspace.corner_library(name)
-                            for name in corner_names}
-        engine = StandbyEngine(
-            flow.netlist, library, flow.network, scenario_objs,
-            corners=tuple(corner_names),
-            settle_fraction=request.settle_fraction,
-            rush_budget_ma=request.rush_budget_ma,
-            parasitics=flow.parasitics,
-            compute_backend=self.config.compute_backend,
-            corner_libraries=corner_libraries,
-            circuit=self.circuit, technique=request.technique)
-        result = engine.run()
+        result = flow.standby
+        if result is None or result.circuit != self.circuit \
+                or not self._stage_ran(request):
+            result = run_standby(
+                flow, self.library, request, self.workspace.corner_library,
+                circuit=self.circuit,
+                compute_backend=self.config.compute_backend)
         self._standbys[request] = result
         return result
 
-    # --- sleep policy -------------------------------------------------------
-
     @_locked
-    def policy(self, request: PolicyRequest | None = None, *,
-               technique: Technique | str | None = None,
-               scenarios=None, scenario_payloads=None, corners=None,
-               candidates: int | None = None,
-               max_domains: int | None = None,
-               rush_budget_ma: float | None = None,
-               settle_fraction: float | None = None) -> PolicyResult:
+    def policy(self, request: PolicyRequest | None = None,
+               **fields) -> PolicyResult:
         """Sleep-policy sweep of one technique's finished design.
 
         Sweeps at least ``candidates`` (domain plan, threshold)
         policies through the batched scenario kernel and returns the
         Pareto front of (net savings, worst wake latency, peak rush).
-        Scenario, corner and cache semantics match :meth:`standby`:
-        flow result from the optimize cache, corner libraries from the
-        workspace cache, defaults from the design's
-        :class:`FlowConfig` (``policy_candidates`` falls back to 1024
-        when the config leaves the stage off), and when the flow's
-        ``policy_signoff`` stage already ran exactly this sweep its
-        result is reused.
+        Fields (those of :class:`PolicyRequest`) default from the
+        design's :class:`FlowConfig` via
+        :meth:`PolicyRequest.from_config`; scenario, corner and cache
+        semantics match :meth:`standby`.
         """
-        self._request_or_kwargs(request, {
-            "technique": technique, "scenarios": scenarios,
-            "scenario_payloads": scenario_payloads,
-            "corners": corners, "candidates": candidates,
-            "max_domains": max_domains,
-            "rush_budget_ma": rush_budget_ma,
-            "settle_fraction": settle_fraction})
-        request = request or PolicyRequest(
-            technique=Technique(technique) if technique is not None
-            else Technique.IMPROVED_SMT,
-            scenarios=tuple(scenarios) if scenarios is not None
-            else self.config.standby_scenarios,
-            scenario_payloads=tuple(scenario_payloads)
-            if scenario_payloads is not None else (),
-            corners=tuple(corners) if corners is not None
-            else self.config.signoff_corners,
-            candidates=candidates if candidates is not None
-            else (self.config.policy_candidates or 1024),
-            max_domains=max_domains if max_domains is not None
-            else self.config.policy_max_domains,
-            rush_budget_ma=rush_budget_ma
-            if rush_budget_ma is not None
-            else self.config.standby_rush_budget_ma,
-            settle_fraction=settle_fraction
-            if settle_fraction is not None
-            else self.config.standby_settle_fraction)
+        request = self._post_flow_request(PolicyRequest, request, fields)
         if request in self._policies:
             self._stats().hit("policy")
             return self._policies[request]
         self._stats().miss("policy")
-        from repro.variation.corners import default_signoff_corners
-
-        library = self.library
         flow = self.flow_result(request.technique)
-        if flow.network is None or not flow.network.clusters:
-            raise FlowError(
-                f"technique {request.technique.value!r} builds no "
-                f"shared-switch VGND network; sleep-policy "
-                f"optimization needs improved_smt")
-        scenario_objs = self._scenario_objects(request)
-        scenario_names = tuple(s.name for s in scenario_objs)
-        corner_names = request.corners \
-            or default_signoff_corners(library.tech)
-        # The policy_signoff stage may have swept exactly this space
-        # during the flow run — reuse it instead of sweeping again.
-        stage_result = flow.policy
-        if stage_result is not None \
-                and stage_result.circuit == self.circuit \
-                and stage_result.scenarios == scenario_names \
-                and stage_result.corners == tuple(corner_names) \
-                and stage_result.settle_fraction \
-                == request.settle_fraction \
-                and request.candidates \
-                == self.config.policy_candidates \
-                and request.max_domains \
-                == self.config.policy_max_domains \
-                and request.rush_budget_ma \
-                == self.config.standby_rush_budget_ma:
-            self._policies[request] = stage_result
-            return stage_result
-        corner_libraries = {name: self.workspace.corner_library(name)
-                            for name in corner_names}
-        optimizer = PolicyOptimizer(
-            flow.netlist, library, flow.network, scenario_objs,
-            corners=tuple(corner_names),
-            candidates=request.candidates,
-            max_domains=request.max_domains,
-            settle_fraction=request.settle_fraction,
-            rush_budget_ma=request.rush_budget_ma,
-            parasitics=flow.parasitics,
-            compute_backend=self.config.compute_backend,
-            corner_libraries=corner_libraries,
-            circuit=self.circuit, technique=request.technique)
-        result = optimizer.run()
+        result = flow.policy
+        if result is None or result.circuit != self.circuit \
+                or not self._stage_ran(request):
+            result = run_policy(
+                flow, self.library, request, self.workspace.corner_library,
+                circuit=self.circuit,
+                compute_backend=self.config.compute_backend)
         self._policies[request] = result
         return result
 
@@ -996,7 +823,7 @@ class Design:
         else:
             # Serial: every technique's flow lands in (or comes from)
             # the optimize cache; the normalization mirrors
-            # compare_techniques() exactly.
+            # studies.technique_comparison() exactly.
             results = {technique: self.flow_result(technique)
                        for technique in techniques}
             baseline = results.get(Technique.DUAL_VTH)

@@ -354,7 +354,7 @@ def cmd_standby(args) -> int:
     except (ConfigError, SchemaError) as error:
         print(error, file=sys.stderr)
         return 2
-    result = workspace.standby(args.circuit, request)
+    result = workspace.design(args.circuit).standby(request)
     print(render_standby_table(result))
     _emit_json(result, args.json)
     return 0
@@ -391,7 +391,7 @@ def cmd_policy(args) -> int:
     except ConfigError as error:
         print(error, file=sys.stderr)
         return 2
-    result = workspace.policy(args.circuit, request)
+    result = workspace.design(args.circuit).policy(request)
     print(result.render())
     _emit_json(result, args.json)
     return 0

@@ -162,3 +162,22 @@ class FlowConfig:
 
     def bounce_limit_v(self, vdd: float) -> float:
         return self.bounce_limit_fraction * vdd
+
+
+def analysis_request(cls, defaults: dict, overrides: dict):
+    """Build a post-flow analysis request (signoff, standby, policy).
+
+    ``defaults`` are the fields a request class derives from a
+    :class:`FlowConfig` in its ``from_config``; ``overrides`` replace
+    single fields.  Technique names become :class:`Technique` members
+    and sequences become tuples, so a request built from JSON lists or
+    CLI tuples is hashable (requests are cache keys) and equal to the
+    one the flow's signoff stage builds from the same values.
+    """
+    fields = {**defaults, **overrides}
+    if "technique" in fields:
+        fields["technique"] = Technique(fields["technique"])
+    for name in ("scenarios", "scenario_payloads", "corners"):
+        if name in fields:
+            fields[name] = tuple(fields[name])
+    return cls(**fields)

@@ -58,13 +58,21 @@ from repro.routing.extract import (
     PreRouteEstimator,
 )
 from repro.routing.steiner import build_mst
-from repro.policy.optimize import PolicyOptimizer, PolicyResult
-from repro.standby.engine import StandbyEngine, StandbyResult
-from repro.standby.scenario import resolve_scenario
+from repro.policy.optimize import PolicyRequest, PolicyResult, run_policy
+from repro.standby.engine import (
+    StandbyRequest,
+    StandbyResult,
+    has_switch_network,
+    run_standby,
+)
 from repro.timing.constraints import Constraints
 from repro.timing.session import TimingSession
 from repro.timing.sta import TimingAnalyzer, TimingReport
-from repro.variation.signoff import CornerResult
+from repro.variation.corners import (
+    derive_corner_library_cached,
+    resolve_corner,
+)
+from repro.variation.signoff import CornerResult, SignoffRequest, run_signoff
 from repro.vgnd.cluster import ClusterConfig
 from repro.vgnd.em import check_em
 from repro.vgnd.network import VgndNetwork
@@ -148,6 +156,13 @@ class FlowContext:
     @property
     def tech(self):
         return self.library.tech
+
+    def corner_library(self, name: str) -> Library:
+        """Corner-derived library, derived at most once per flow run."""
+        if name not in self.corner_libraries:
+            self.corner_libraries[name] = derive_corner_library_cached(
+                self.library, resolve_corner(name, self.tech))
+        return self.corner_libraries[name]
 
     def require(self, *fields: str) -> None:
         """Fail fast when a stage runs before its prerequisites."""
@@ -739,30 +754,18 @@ def stage_corner_signoff(ctx: FlowContext) -> dict[str, Any] | None:
     Re-evaluates the final netlist's standby leakage and timing at
     each corner named in ``FlowConfig.signoff_corners`` using
     corner-derived libraries; with no corners configured the stage is
-    invisible (no report), so single-point flows are untouched.
+    invisible (no report), so single-point flows are untouched.  Runs
+    ``SignoffRequest.from_config(config)`` through
+    :func:`~repro.variation.signoff.run_signoff`, like
+    ``Design.signoff()``.
     """
-    names = ctx.config.signoff_corners
-    if not names:
+    if not ctx.config.signoff_corners:
         return None
     ctx.require("netlist", "constraints")
-    from repro.variation.corners import (
-        derive_corner_library_cached,
-        resolve_corner,
-    )
-    from repro.variation.signoff import evaluate_corners_batched
-
-    for name in names:
-        if name not in ctx.corner_libraries:
-            corner = resolve_corner(name, ctx.tech)
-            ctx.corner_libraries[name] = derive_corner_library_cached(
-                ctx.library, corner)
-    clock_arrivals = ctx.cts.clock_arrivals if ctx.cts else None
-    ctx.corners = evaluate_corners_batched(
-        ctx.netlist, ctx.library, names, ctx.constraints,
-        parasitics=ctx.parasitics, network=ctx.network,
-        clock_arrivals=clock_arrivals,
-        compute_backend=ctx.config.compute_backend,
-        corner_libraries=ctx.corner_libraries)
+    ctx.corners = run_signoff(
+        ctx, ctx.library,
+        SignoffRequest.from_config(ctx.config, technique=ctx.technique),
+        ctx.corner_library, compute_backend=ctx.config.compute_backend)
     worst_leak = max(ctx.corners.values(), key=lambda r: r.leakage_nw)
     worst_wns = min(ctx.corners.values(), key=lambda r: r.wns)
     return {
@@ -780,35 +783,22 @@ def stage_standby_signoff(ctx: FlowContext) -> dict[str, Any] | None:
 
     Characterizes the VGND network's sleep/wake transients, builds the
     rush-current-bounded wake-up schedule and evaluates every
-    power-mode scenario named in ``FlowConfig.standby_scenarios`` —
-    at each signoff corner when corners are configured, at the
-    technology's default signoff set otherwise (the same fallback
-    ``Design.standby()`` uses, so the two entry points agree for any
-    configuration).  Invisible (no report) with no scenarios
+    power-mode scenario named in ``FlowConfig.standby_scenarios``.
+    Runs ``StandbyRequest.from_config(config)`` through
+    :func:`~repro.standby.engine.run_standby` — the same path
+    ``Design.standby()`` takes, which therefore reuses this result for
+    an equal request.  Invisible (no report) with no scenarios
     configured, and for techniques without a shared-switch network
     (Dual-Vth and the conventional SMT have nothing to schedule).
     """
-    names = ctx.config.standby_scenarios
-    if not names:
-        return None
-    network = ctx.network
-    if network is None or not network.clusters:
+    if not ctx.config.standby_scenarios or not has_switch_network(ctx):
         return None
     ctx.require("netlist")
-    from repro.variation.corners import default_signoff_corners
-
-    scenarios = [resolve_scenario(name) for name in names]
-    corners = ctx.config.signoff_corners \
-        or default_signoff_corners(ctx.tech)
-    engine = StandbyEngine(
-        ctx.netlist, ctx.library, network, scenarios, corners=corners,
-        settle_fraction=ctx.config.standby_settle_fraction,
-        rush_budget_ma=ctx.config.standby_rush_budget_ma,
-        parasitics=ctx.parasitics,
-        compute_backend=ctx.config.compute_backend,
-        corner_libraries=ctx.corner_libraries,
-        circuit=ctx.source_netlist.name, technique=ctx.technique)
-    result = engine.run()
+    result = run_standby(
+        ctx, ctx.library,
+        StandbyRequest.from_config(ctx.config, technique=ctx.technique),
+        ctx.corner_library, circuit=ctx.source_netlist.name,
+        compute_backend=ctx.config.compute_backend)
     ctx.standby = result
     first = result.corner_rows[0]
     return {
@@ -831,36 +821,23 @@ def stage_policy_signoff(ctx: FlowContext) -> dict[str, Any] | None:
     (domain plan, per-domain threshold) policies against the standby
     workloads and signoff corners in one batched pass, keeping the
     Pareto front of (net savings, worst wake latency, peak rush).
+    Runs ``PolicyRequest.from_config(config)`` through
+    :func:`~repro.policy.optimize.run_policy`, like ``Design.policy()``.
     Invisible with ``policy_candidates == 0``, with no standby
     scenarios configured, and for techniques without a shared-switch
     network.  Reuses the corner libraries the earlier signoff stages
     derived.
     """
-    if ctx.config.policy_candidates < 1:
-        return None
-    names = ctx.config.standby_scenarios
-    if not names:
-        return None
-    network = ctx.network
-    if network is None or not network.clusters:
+    if ctx.config.policy_candidates < 1 \
+            or not ctx.config.standby_scenarios \
+            or not has_switch_network(ctx):
         return None
     ctx.require("netlist")
-    from repro.variation.corners import default_signoff_corners
-
-    scenarios = [resolve_scenario(name) for name in names]
-    corners = ctx.config.signoff_corners \
-        or default_signoff_corners(ctx.tech)
-    optimizer = PolicyOptimizer(
-        ctx.netlist, ctx.library, network, scenarios, corners=corners,
-        candidates=ctx.config.policy_candidates,
-        max_domains=ctx.config.policy_max_domains,
-        settle_fraction=ctx.config.standby_settle_fraction,
-        rush_budget_ma=ctx.config.standby_rush_budget_ma,
-        parasitics=ctx.parasitics,
-        compute_backend=ctx.config.compute_backend,
-        corner_libraries=ctx.corner_libraries,
-        circuit=ctx.source_netlist.name, technique=ctx.technique)
-    result = optimizer.run()
+    result = run_policy(
+        ctx, ctx.library,
+        PolicyRequest.from_config(ctx.config, technique=ctx.technique),
+        ctx.corner_library, circuit=ctx.source_netlist.name,
+        compute_backend=ctx.config.compute_backend)
     ctx.policy = result
     best = result.best
     return {

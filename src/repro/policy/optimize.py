@@ -28,19 +28,23 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.compute import resolve_backend
-from repro.config import Technique
-from repro.errors import StandbyError
+from repro.config import FlowConfig, Technique, analysis_request
+from repro.errors import ConfigError, StandbyError
 from repro.liberty.library import Library
 from repro.netlist.core import Netlist
 from repro.obs.metrics import REGISTRY
 from repro.obs.spans import span
 from repro.policy.domains import DomainPlan, characterize_plan, plan_partitions
 from repro.policy.model import SleepPolicy, threshold_factors
-from repro.standby.engine import NOMINAL_CORNER
-from repro.standby.scenario import PowerModeScenario
+from repro.standby.engine import NOMINAL_CORNER, require_switch_network
+from repro.standby.scenario import (
+    PowerModeScenario,
+    check_scenario_payloads,
+    request_scenarios,
+)
 from repro.standby.schedule import default_rush_budget_ma
 from repro.standby.transient import ClusterTransient, TransientSolver
 from repro.vgnd.network import VgndNetwork
@@ -504,3 +508,97 @@ class PolicyOptimizer:
                 net += scenario.sleep_events * per_event
             worst = min(worst, net)
         return worst
+
+
+@dataclasses.dataclass(frozen=True)
+class PolicyRequest:
+    """Sleep-policy sweep of one technique's finished design.
+
+    Sweeps at least ``candidates`` (domain plan, per-domain threshold)
+    policies through the batched scenario engine and returns the
+    Pareto front of (net savings, worst wake latency, peak rush).
+    Scenario and corner semantics match
+    :class:`~repro.standby.engine.StandbyRequest` (including
+    user-defined ``scenario_payloads``); ``max_domains`` bounds the
+    hierarchical power-domain plans swept alongside the per-cluster
+    plan.
+    """
+
+    technique: Technique = Technique.IMPROVED_SMT
+    scenarios: tuple[str, ...] = ()
+    scenario_payloads: tuple[PowerModeScenario, ...] = ()
+    corners: tuple[str, ...] = ()
+    candidates: int = 1024
+    max_domains: int = 4
+    rush_budget_ma: float | None = None
+    settle_fraction: float = 0.05
+
+    def __post_init__(self):
+        if not all(isinstance(s, str) and s for s in self.scenarios):
+            raise ConfigError(
+                "scenarios",
+                f"must be non-empty names, got {self.scenarios!r}")
+        check_scenario_payloads(self.scenario_payloads, self.scenarios)
+        if not all(isinstance(c, str) and c for c in self.corners):
+            raise ConfigError(
+                "corners", f"must be non-empty names, got {self.corners!r}")
+        if self.candidates < 1:
+            raise ConfigError(
+                "candidates",
+                f"needs at least one, got {self.candidates!r}")
+        if self.max_domains < 1:
+            raise ConfigError(
+                "max_domains",
+                f"needs at least one domain, got {self.max_domains!r}")
+        if self.rush_budget_ma is not None and self.rush_budget_ma <= 0:
+            raise ConfigError(
+                "rush_budget_ma",
+                f"must be positive when set, got {self.rush_budget_ma!r}")
+        if not 0.0 < self.settle_fraction < 0.5:
+            raise ConfigError(
+                "settle_fraction",
+                f"must be in (0, 0.5), got {self.settle_fraction!r}")
+
+    @classmethod
+    def from_config(cls, config: FlowConfig,
+                    **overrides) -> "PolicyRequest":
+        """The request the ``policy_signoff`` stage runs for
+        ``config``; ``overrides`` replace single fields.  A config
+        that leaves the stage off (``policy_candidates == 0``) still
+        yields a usable sweep of 1024 candidates."""
+        return analysis_request(cls, {
+            "scenarios": config.standby_scenarios,
+            "corners": config.signoff_corners,
+            "candidates": config.policy_candidates or 1024,
+            "max_domains": config.policy_max_domains,
+            "rush_budget_ma": config.standby_rush_budget_ma,
+            "settle_fraction": config.standby_settle_fraction,
+        }, overrides)
+
+
+def run_policy(design, library: Library, request: PolicyRequest,
+               corner_library: Callable[[str], Library], *,
+               circuit: str, compute_backend: str | None = None
+               ) -> PolicyResult:
+    """Sleep-policy sweep of a finished design — the one run path
+    behind the ``policy_signoff`` flow stage and ``Design.policy()``.
+
+    Design, corner-library and corner-default semantics match
+    :func:`repro.standby.engine.run_standby`.
+    """
+    from repro.variation.corners import default_signoff_corners
+
+    require_switch_network(design, request.technique,
+                           "sleep-policy optimization")
+    corners = request.corners or default_signoff_corners(library.tech)
+    return PolicyOptimizer(
+        design.netlist, library, design.network,
+        request_scenarios(request), corners=corners,
+        candidates=request.candidates,
+        max_domains=request.max_domains,
+        settle_fraction=request.settle_fraction,
+        rush_budget_ma=request.rush_budget_ma,
+        parasitics=design.parasitics,
+        compute_backend=compute_backend,
+        corner_libraries={name: corner_library(name) for name in corners},
+        circuit=circuit, technique=request.technique).run()

@@ -22,9 +22,9 @@ actually pays*:
   bit-identical scalar fallback.
 
 Integration points: the ``standby_signoff`` flow stage
-(:mod:`repro.core.stages`), ``Design.standby()`` /
-``Workspace.standby()`` (:mod:`repro.api.workspace`), the ``standby``
-job kind of the service, and the ``repro-smt standby`` CLI subcommand.
+(:mod:`repro.core.stages`) and ``Design.standby()``
+(:mod:`repro.api.workspace`), which share one run path
+(:func:`repro.standby.engine.run_standby`), the ``standby`` job kind of the service, and the ``repro-smt standby`` CLI subcommand.
 """
 
 from repro.standby.engine import (

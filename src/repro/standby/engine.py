@@ -32,15 +32,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.compute import resolve_backend
-from repro.config import Technique
-from repro.errors import StandbyError
+from repro.config import FlowConfig, Technique, analysis_request
+from repro.errors import ConfigError, FlowError, StandbyError
 from repro.liberty.library import Library
 from repro.netlist.core import Netlist
 from repro.obs.spans import span
-from repro.standby.scenario import PowerModeScenario
+from repro.standby.scenario import (
+    PowerModeScenario,
+    check_scenario_payloads,
+    request_scenarios,
+)
 from repro.standby.schedule import (
     RushScheduler,
     WakeupSchedule,
@@ -418,3 +422,101 @@ class StandbyEngine:
                 savings_fraction=fraction,
                 break_even_ns=row.break_even_ns,
                 worthwhile=net > 0.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class StandbyRequest:
+    """Standby-transition study of one technique's finished design.
+
+    Empty ``scenarios`` means every built-in power-mode scenario
+    (:func:`repro.standby.scenario.standard_scenarios`); empty
+    ``corners`` means the technology's default signoff set, so wake
+    latency and rush current are checked where they are worst.
+    ``rush_budget_ma=None`` derives the default di/dt budget.
+
+    ``scenario_payloads`` carries fully user-defined scenarios (any
+    distribution, including ``empirical`` quantile grids built from
+    idle traces by :mod:`repro.policy.traces`); they are evaluated
+    alongside the named ones, and names must not collide.
+    """
+
+    technique: Technique = Technique.IMPROVED_SMT
+    scenarios: tuple[str, ...] = ()
+    scenario_payloads: tuple[PowerModeScenario, ...] = ()
+    corners: tuple[str, ...] = ()
+    rush_budget_ma: float | None = None
+    settle_fraction: float = 0.05
+
+    def __post_init__(self):
+        if not all(isinstance(s, str) and s for s in self.scenarios):
+            raise ConfigError(
+                "scenarios",
+                f"must be non-empty names, got {self.scenarios!r}")
+        check_scenario_payloads(self.scenario_payloads, self.scenarios)
+        if not all(isinstance(c, str) and c for c in self.corners):
+            raise ConfigError(
+                "corners", f"must be non-empty names, got {self.corners!r}")
+        if self.rush_budget_ma is not None and self.rush_budget_ma <= 0:
+            raise ConfigError(
+                "rush_budget_ma",
+                f"must be positive when set, got {self.rush_budget_ma!r}")
+        if not 0.0 < self.settle_fraction < 0.5:
+            raise ConfigError(
+                "settle_fraction",
+                f"must be in (0, 0.5), got {self.settle_fraction!r}")
+
+    @classmethod
+    def from_config(cls, config: FlowConfig,
+                    **overrides) -> "StandbyRequest":
+        """The request the ``standby_signoff`` stage runs for
+        ``config``; ``overrides`` replace single fields."""
+        return analysis_request(cls, {
+            "scenarios": config.standby_scenarios,
+            "corners": config.signoff_corners,
+            "rush_budget_ma": config.standby_rush_budget_ma,
+            "settle_fraction": config.standby_settle_fraction,
+        }, overrides)
+
+
+def has_switch_network(design) -> bool:
+    """Whether a finished design built the shared-switch VGND network
+    the standby and policy analyses characterize (improved SMT only)."""
+    return design.network is not None and bool(design.network.clusters)
+
+
+def require_switch_network(design, technique: Technique,
+                           analysis: str) -> None:
+    if not has_switch_network(design):
+        raise FlowError(
+            f"technique {technique.value!r} builds no shared-switch "
+            f"VGND network; {analysis} needs improved_smt")
+
+
+def run_standby(design, library: Library, request: StandbyRequest,
+                corner_library: Callable[[str], Library], *,
+                circuit: str, compute_backend: str | None = None
+                ) -> StandbyResult:
+    """Standby-transition analysis of a finished design — the one run
+    path behind the ``standby_signoff`` flow stage and
+    ``Design.standby()``.
+
+    ``design`` is a flow context or flow result (its ``netlist``,
+    ``network`` and ``parasitics`` are read); ``corner_library`` maps
+    a corner name to its derived library, so each caller keeps its own
+    cache.  Empty request corners mean the technology's default
+    signoff set.
+    """
+    from repro.variation.corners import default_signoff_corners
+
+    require_switch_network(design, request.technique,
+                           "standby-transition analysis")
+    corners = request.corners or default_signoff_corners(library.tech)
+    return StandbyEngine(
+        design.netlist, library, design.network,
+        request_scenarios(request), corners=corners,
+        settle_fraction=request.settle_fraction,
+        rush_budget_ma=request.rush_budget_ma,
+        parasitics=design.parasitics,
+        compute_backend=compute_backend,
+        corner_libraries={name: corner_library(name) for name in corners},
+        circuit=circuit, technique=request.technique).run()

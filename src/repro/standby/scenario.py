@@ -230,3 +230,34 @@ def resolve_scenario(name: str) -> PowerModeScenario:
         raise StandbyError(
             f"unknown power-mode scenario {name!r}; known: "
             f"{', '.join(sorted(scenarios))}") from None
+
+
+def check_scenario_payloads(payloads, names) -> None:
+    """Validate a request's user-defined scenarios (standby + policy):
+    each is a :class:`PowerModeScenario` and no name repeats, neither
+    among the payloads nor against the request's built-in names."""
+    seen: set[str] = set(names)
+    for payload in payloads:
+        if not isinstance(payload, PowerModeScenario):
+            raise ConfigError(
+                "scenario_payloads",
+                f"entries must be PowerModeScenario, got {payload!r}")
+        if payload.name in seen:
+            raise ConfigError(
+                "scenario_payloads",
+                f"duplicate scenario name {payload.name!r}")
+        seen.add(payload.name)
+
+
+def request_scenarios(request) -> list[PowerModeScenario]:
+    """A standby/policy request's named + payload scenarios, in order.
+
+    Built-in names default in only when the request carries neither
+    names nor payloads — a payload-only request means exactly those
+    workloads.
+    """
+    names = request.scenarios
+    if not names and not request.scenario_payloads:
+        names = tuple(standard_scenarios())
+    return [resolve_scenario(name) for name in names] \
+        + list(request.scenario_payloads)

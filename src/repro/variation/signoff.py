@@ -11,8 +11,10 @@ small multiple of the final-STA stage, not of the whole flow.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
+from repro.config import FlowConfig, Technique, analysis_request
+from repro.errors import ConfigError
 from repro.liberty.library import Library
 from repro.netlist.core import Netlist
 from repro.obs.spans import span
@@ -22,6 +24,7 @@ from repro.timing.sta import TimingAnalyzer
 from repro.variation.corners import (
     PvtCorner,
     corner_scales,
+    default_signoff_corners,
     derive_corner_library,
     derive_corner_library_cached,
     leakage_class_is_high,
@@ -272,3 +275,50 @@ def _corners_batched_impl(netlist: Netlist, library: Library,
             leakage_scale_low=scales.leakage_low,
             leakage_scale_high=scales.leakage_high)
     return results
+
+
+@dataclasses.dataclass(frozen=True)
+class SignoffRequest:
+    """Multi-corner signoff of one technique's finished design.
+
+    An empty ``corners`` tuple means the technology's default signoff
+    set (nominal + worst leakage + worst timing).
+    """
+
+    technique: Technique = Technique.IMPROVED_SMT
+    corners: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if not all(isinstance(c, str) and c for c in self.corners):
+            raise ConfigError(
+                "corners", f"must be non-empty names, got {self.corners!r}")
+
+    @classmethod
+    def from_config(cls, config: FlowConfig,
+                    **overrides) -> "SignoffRequest":
+        """The request the ``corner_signoff`` stage runs for
+        ``config``; ``overrides`` replace single fields."""
+        return analysis_request(
+            cls, {"corners": config.signoff_corners}, overrides)
+
+
+def run_signoff(design, library: Library, request: SignoffRequest,
+                corner_library: Callable[[str], Library], *,
+                compute_backend: str | None = None
+                ) -> dict[str, CornerResult]:
+    """Corner signoff of a finished design — the one run path behind
+    the ``corner_signoff`` flow stage and ``Design.signoff()``.
+
+    ``design`` is a flow context or flow result (its ``netlist``,
+    ``constraints``, ``parasitics``, ``network`` and ``cts`` are
+    read); ``corner_library`` maps a corner name to its derived
+    library, so each caller keeps its own cache.  Results are keyed by
+    corner name in evaluation order.
+    """
+    corners = request.corners or default_signoff_corners(library.tech)
+    return evaluate_corners_batched(
+        design.netlist, library, corners, design.constraints,
+        parasitics=design.parasitics, network=design.network,
+        clock_arrivals=design.cts.clock_arrivals if design.cts else None,
+        compute_backend=compute_backend,
+        corner_libraries={name: corner_library(name) for name in corners})

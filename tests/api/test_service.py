@@ -7,10 +7,17 @@ import urllib.request
 
 import pytest
 
-from repro.api import ServiceClient, Workspace, schemas
+from repro.api import (
+    PolicyResult,
+    ServiceClient,
+    StandbyResult,
+    Workspace,
+    schemas,
+)
 from repro.api.results import AnalyzeResult, OptimizeResult, SignoffResult
 from repro.api.requests import SignoffRequest
-from repro.api.service import JobService, ServiceServer
+from repro.api.service import JobService, ServiceServer, parse_submission
+from repro.api.shards import execute_kind
 from repro.config import FlowConfig, Technique
 from repro.errors import ServiceError
 
@@ -117,6 +124,50 @@ def test_typed_request_payload_round_trips_over_http(client):
         client.jobs()[-1]["job_id"])
     assert payload[schemas.SCHEMA_KEY] == "signoff_result"
     assert schemas.from_dict(payload) == result
+
+
+# --- config-derived defaults of payload-less jobs --------------------------
+
+#: Sequence overrides arrive from JSON as lists.
+LIST_OVERRIDES = dict(CONFIG, signoff_corners=["tt_nom"],
+                      standby_scenarios=["mostly_idle"])
+
+
+def _run_in_process(library, submission):
+    kind, circuit, request, config = parse_submission(submission)
+    design = Workspace(library=library).design(circuit, config)
+    return design, execute_kind(design, kind, request)
+
+
+def test_signoff_job_follows_config_signoff_corners(library):
+    design, result = _run_in_process(library, {
+        "kind": "signoff", "circuit": "c17",
+        "config": dict(CONFIG, signoff_corners=["ss_1.08v_125c"])})
+    assert result.corners == ("ss_1.08v_125c",)
+    # The flow's corner_signoff stage ran this very request: reused.
+    stage = design.flow_result(Technique.IMPROVED_SMT).corners
+    assert [(row.corner, row.leakage_nw, row.wns) for row in result.rows] \
+        == [(name, res.leakage_nw, res.wns) for name, res in stage.items()]
+
+
+@pytest.mark.parametrize("kind", ["standby", "policy"])
+def test_list_config_overrides_run_payloadless_jobs(library, kind):
+    submission = {"kind": kind, "circuit": "c17", "config": LIST_OVERRIDES}
+    _, _, _, config = parse_submission(submission)
+    assert config.signoff_corners == ("tt_nom",)
+    assert config.standby_scenarios == ("mostly_idle",)
+    _, result = _run_in_process(library, submission)
+    assert result.corners == ("tt_nom",)
+    assert result.scenarios == ("mostly_idle",)
+
+
+@pytest.mark.parametrize("kind", ["standby", "policy"])
+def test_list_config_overrides_over_http(client, kind):
+    result = client.run(kind, "c17", config=LIST_OVERRIDES)
+    assert isinstance(result, StandbyResult if kind == "standby"
+                      else PolicyResult)
+    assert result.corners == ("tt_nom",)
+    assert result.scenarios == ("mostly_idle",)
 
 
 # --- cancel -----------------------------------------------------------------

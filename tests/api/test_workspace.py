@@ -191,14 +191,10 @@ def test_montecarlo_parallel_matches_serial(workspace, design):
 
 
 def test_sweep_matches_compare_techniques(library, workspace, design):
-    import warnings
+    from repro.api.studies import technique_comparison
 
-    from repro.core.compare import compare_techniques
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        direct = compare_techniques(load_circuit("c17"), library, CONFIG,
-                                    circuit_name="c17")
+    direct = technique_comparison(load_circuit("c17"), library, CONFIG,
+                                  circuit_name="c17")
     swept = design.sweep()
     for row in direct.rows:
         ours = swept.row("c17", row.technique)

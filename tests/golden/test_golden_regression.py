@@ -20,9 +20,9 @@ import pathlib
 import pytest
 
 from repro.benchcircuits.suite import load_circuit
+from repro.api.studies import technique_comparison
 from repro.compute import numpy_available
 from repro.config import FlowConfig
-from repro.core.compare import compare_techniques
 from repro.liberty.library import VARIANT_LVT
 from repro.netlist.techmap import technology_map
 from repro.timing.constraints import Constraints
@@ -47,7 +47,7 @@ def load_golden(name: str) -> dict:
 @pytest.mark.parametrize("circuit", ["c432", "s298"])
 def test_table1_golden(circuit, backend, library):
     golden = load_golden("table1_c432_s298.json")[circuit]
-    comparison = compare_techniques(
+    comparison = technique_comparison(
         load_circuit(circuit), library,
         FlowConfig(compute_backend=backend, **TABLE1_CONFIG),
         circuit_name=circuit)

@@ -29,10 +29,10 @@ def _trace_payload(name="measured"):
 def test_facade_policy_is_cached(workspace):
     request = PolicyRequest(scenarios=("mostly_idle",),
                             corners=("tt_nom",), candidates=48)
-    first = workspace.policy("c432", request)
+    first = workspace.design("c432").policy(request)
     assert first.candidates >= 48
     before = dict(workspace.stats.as_dict()["policy"])
-    again = workspace.policy("c432", request)
+    again = workspace.design("c432").policy(request)
     assert again is first
     after = workspace.stats.as_dict()["policy"]
     assert after["hits"] == before["hits"] + 1
@@ -41,7 +41,7 @@ def test_facade_policy_is_cached(workspace):
 def test_policy_with_trace_payloads(workspace):
     request = PolicyRequest(scenario_payloads=(_trace_payload(),),
                             corners=("tt_nom",), candidates=32)
-    result = workspace.policy("c432", request)
+    result = workspace.design("c432").policy(request)
     # Payload-only requests sweep exactly the given workloads.
     assert result.scenarios == ("measured",)
     schemas.check_round_trip(result)
@@ -52,7 +52,7 @@ def test_standby_accepts_scenario_payloads(workspace):
     request = StandbyRequest(scenarios=("mostly_idle",),
                              scenario_payloads=(payload,),
                              corners=("tt_nom",))
-    result = workspace.standby("c432", request)
+    result = workspace.design("c432").standby(request)
     assert result.scenarios == ("mostly_idle", "trace_idle")
     assert {o.scenario for o in result.outcomes} \
         == {"mostly_idle", "trace_idle"}
@@ -75,7 +75,7 @@ def test_policy_needs_the_switch_network(workspace):
     from repro.config import Technique
 
     with pytest.raises(FlowError, match="improved_smt"):
-        workspace.policy("c432", PolicyRequest(
+        workspace.design("c432").policy(PolicyRequest(
             technique=Technique.DUAL_VTH, corners=("tt_nom",),
             candidates=8))
 
@@ -92,6 +92,64 @@ def test_flow_stage_result_is_reused():
     assert report.details["candidates"] >= 24
     # The facade with matching defaults hands back the stage result.
     assert design.policy() is flow.policy
+
+
+@pytest.mark.parametrize("kind", ["standby", "policy"])
+def test_payload_shadowing_a_builtin_name_is_not_the_stage_result(
+        library, kind):
+    """A user scenario named like a built-in is a different request.
+
+    The config runs the ``always_on`` built-in in the flow's signoff
+    stage; a request carrying a *payload* named ``always_on`` (with a
+    different idle time) must be computed, not answered with the
+    stage's result.
+    """
+    from repro.standby.scenario import PowerModeScenario
+
+    shadow = PowerModeScenario(name="always_on", active_ns=2_000.0,
+                               idle_ns=5e6)
+    request_type = StandbyRequest if kind == "standby" else PolicyRequest
+    extra = {"candidates": 24} if kind == "policy" else {}
+    request = request_type(scenario_payloads=(shadow,),
+                           corners=("tt_nom",), **extra)
+    config = FlowConfig(timing_margin=0.2,
+                        standby_scenarios=("always_on",),
+                        signoff_corners=("tt_nom",), policy_candidates=24)
+    design = Workspace(library=library, config=config).design("c17")
+    stage_result = getattr(design.flow_result("improved_smt"), kind)
+    assert stage_result is not None
+    result = getattr(design, kind)(request)
+    assert result is not stage_result
+    # The answer of a workspace whose flow ran no standby stage.
+    fresh_config = FlowConfig(timing_margin=0.2,
+                              signoff_corners=("tt_nom",))
+    fresh = getattr(Workspace(library=library, config=fresh_config)
+                    .design("c17"), kind)(request)
+    assert result == fresh
+    assert result != stage_result
+
+
+def test_from_config_is_the_one_config_to_request_mapping():
+    from repro.api import SignoffRequest
+    from repro.config import Technique
+
+    config = FlowConfig(signoff_corners=["tt_nom"],
+                        standby_scenarios=["mostly_idle"],
+                        standby_settle_fraction=0.08)
+    standby = StandbyRequest.from_config(config, technique="improved_smt")
+    assert standby == StandbyRequest(scenarios=("mostly_idle",),
+                                     corners=("tt_nom",),
+                                     settle_fraction=0.08)
+    hash(standby)  # list-valued config fields still give a cache key
+    policy = PolicyRequest.from_config(config, max_domains=2)
+    # A config that leaves the policy stage off still sweeps 1024.
+    assert (policy.candidates, policy.max_domains) == (1024, 2)
+    assert PolicyRequest.from_config(
+        FlowConfig(policy_candidates=24)).candidates == 24
+    assert SignoffRequest.from_config(
+        config, technique=Technique.DUAL_VTH, corners=["ss_1.08v_125c"]) \
+        == SignoffRequest(technique=Technique.DUAL_VTH,
+                          corners=("ss_1.08v_125c",))
 
 
 def test_requests_round_trip_and_service_kind():
@@ -114,7 +172,7 @@ def test_execute_kind_dispatches_policy(workspace):
     request = PolicyRequest(scenarios=("mostly_idle",),
                             corners=("tt_nom",), candidates=48)
     result = execute_kind(design, "policy", request)
-    assert result is workspace.policy("c432", request)
+    assert result is design.policy(request)
 
 
 def test_policy_request_validation():
@@ -164,7 +222,7 @@ def test_backends_agree_through_the_facade():
     for backend in ("python", "numpy"):
         workspace = Workspace(config=FlowConfig(
             compute_backend=backend, **SMALL_CLUSTERS))
-        results[backend] = workspace.policy("c432", request)
+        results[backend] = workspace.design("c432").policy(request)
     assert dataclasses.replace(results["numpy"],
                                compute_backend="python") \
         == results["python"]

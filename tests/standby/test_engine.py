@@ -261,16 +261,6 @@ class TestFlowAndFacade:
         # instead of running the engine twice.
         assert from_facade is from_stage
 
-    def test_workspace_standby_shortcut(self):
-        from repro.api import StandbyRequest, Workspace
-
-        workspace = Workspace(config=FlowConfig(timing_margin=0.2))
-        request = StandbyRequest(scenarios=("mostly_idle",),
-                                 corners=("tt_nom",))
-        via_workspace = workspace.standby("c17", request)
-        via_design = workspace.design("c17").standby(request)
-        assert via_workspace is via_design
-
     def test_request_validation(self):
         from repro.api import StandbyRequest
 
